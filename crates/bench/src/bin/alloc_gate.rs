@@ -27,14 +27,21 @@
 //! [`ChannelBatch`] (the engine's lockstep impair path) must be
 //! allocation-free at steady state, gated against the per-frame
 //! `transmit_into` loop it batches.
+//!
+//! The retained-heap phase pools sessions in a `SessionPool`, drains one
+//! 1020-B frame at 6 Mbps per session through a warmed `BatchEngine`, and
+//! reports the live heap bytes each pooled session keeps afterwards.
+//! Frame-sized buffers belong to the engine's workers, not to sessions,
+//! so `--check` fails above 64 KiB per session.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::time::Instant;
 
 use cos_bench::bench_payload;
 use cos_channel::{BatchFrame, ChannelBatch, ChannelConfig, Link};
+use cos_core::engine::{BatchEngine, EngineConfig, SessionPool};
 use cos_core::session::{CosSession, SessionConfig};
 use cos_core::PowerController;
 use cos_dsp::lanes::LANES;
@@ -51,6 +58,8 @@ struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static BYTES: AtomicU64 = AtomicU64::new(0);
+/// Bytes currently allocated (allocations minus frees).
+static LIVE: AtomicI64 = AtomicI64::new(0);
 static TRACE: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
 
 thread_local! {
@@ -75,17 +84,20 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
         BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        LIVE.fetch_add(layout.size() as i64, Ordering::Relaxed);
         trace_alloc(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size() as i64, Ordering::Relaxed);
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
         BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        LIVE.fetch_add(new_size as i64 - layout.size() as i64, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -357,6 +369,44 @@ fn run_resilient_summary() -> Measurement {
     measure(move || session.send_packet_resilient_summary(&payload).packet.data_ok)
 }
 
+/// Sessions pooled in the retained-heap scenario.
+const POOLED_SESSIONS: usize = 64;
+/// Most heap bytes a warmed pooled session may keep.
+const SESSION_HEAP_LIMIT: f64 = 64.0 * 1024.0;
+
+/// Creates `n` 6 Mbps sessions in `pool` and drains two rounds of one
+/// bench-payload frame per session through `engine`.
+fn pool_and_drain(engine: &mut BatchEngine, pool: &mut SessionPool, n: usize, seed: u64) {
+    let payload = engine.add_payload(&bench_payload());
+    let control = engine.add_control(&EMBED_BITS);
+    let cfg = SessionConfig { snr_db: SNR_DB, rate: Some(DataRate::Mbps6), ..Default::default() };
+    let ids: Vec<_> = (0..n).map(|i| pool.create(cfg.clone(), seed + i as u64)).collect();
+    let mut out = Vec::with_capacity(n);
+    for _ in 0..2 {
+        for &id in &ids {
+            engine.submit(id, payload, control);
+        }
+        engine.drain_into(pool, &mut out);
+    }
+}
+
+/// Live heap bytes per pooled session after its frames drained. The
+/// engine is warmed on a throwaway pool of the same size first, so its
+/// worker scratch and job buffers are in place before the baseline and
+/// only what the sessions themselves keep is counted.
+fn run_session_footprint() -> f64 {
+    let mut engine = BatchEngine::new(EngineConfig { threads: 1 });
+    pool_and_drain(&mut engine, &mut SessionPool::new(), POOLED_SESSIONS, 1_000);
+    let mut pool = SessionPool::with_capacity(POOLED_SESSIONS);
+    let live0 = LIVE.load(Ordering::Relaxed);
+    pool_and_drain(&mut engine, &mut pool, POOLED_SESSIONS, 2_000);
+    let live1 = LIVE.load(Ordering::Relaxed);
+    // The two payload/control registrations of the measured call stay
+    // with the engine; they are a few KiB against the 64-session total.
+    black_box(&pool);
+    (live1 - live0) as f64 / POOLED_SESSIONS as f64
+}
+
 /// Prints per-stage allocation counts for one frame on a warmed-up
 /// workspace — a debugging aid for chasing stray per-frame allocations.
 fn profile_stages() {
@@ -411,6 +461,7 @@ fn main() {
     let batch_lockstep = run_batch_decode_lockstep();
     let channel_per_frame = run_channel_per_frame();
     let channel_lockstep = run_channel_lockstep();
+    let session_bytes = run_session_footprint();
 
     assert_eq!(
         owned.crc_ok, workspace.crc_ok,
@@ -453,7 +504,7 @@ fn main() {
     let batch_speedup = batch_lockstep.frames_per_sec / batch_per_frame.frames_per_sec;
     let channel_speedup = channel_lockstep.frames_per_sec / channel_per_frame.frames_per_sec;
     let json = format!(
-        "{{\n  \"bench\": \"alloc_gate\",\n  \"frames\": {MEASURED_FRAMES},\n  \"payload_bytes\": 1020,\n  \"rate\": \"Mbps24\",\n  \"snr_db\": {SNR_DB},\n  \"owned\": {},\n  \"workspace\": {},\n  \"stream_owned\": {},\n  \"stream_workspace\": {},\n  \"resilient_report\": {},\n  \"resilient_summary\": {},\n  \"embed_owned\": {},\n  \"embed_workspace\": {},\n  \"batch_decode_per_frame\": {},\n  \"batch_decode_lockstep\": {},\n  \"channel_per_frame\": {},\n  \"channel_lockstep\": {},\n  \"alloc_reduction\": {:.1},\n  \"rx_chain_speedup\": {:.3},\n  \"stream_alloc_reduction\": {:.1},\n  \"embed_alloc_reduction\": {:.1},\n  \"batch_decode_speedup\": {:.3},\n  \"channel_batch_speedup\": {:.3},\n  \"crc_ok_frames\": {}\n}}\n",
+        "{{\n  \"bench\": \"alloc_gate\",\n  \"frames\": {MEASURED_FRAMES},\n  \"payload_bytes\": 1020,\n  \"rate\": \"Mbps24\",\n  \"snr_db\": {SNR_DB},\n  \"owned\": {},\n  \"workspace\": {},\n  \"stream_owned\": {},\n  \"stream_workspace\": {},\n  \"resilient_report\": {},\n  \"resilient_summary\": {},\n  \"embed_owned\": {},\n  \"embed_workspace\": {},\n  \"batch_decode_per_frame\": {},\n  \"batch_decode_lockstep\": {},\n  \"channel_per_frame\": {},\n  \"channel_lockstep\": {},\n  \"alloc_reduction\": {:.1},\n  \"rx_chain_speedup\": {:.3},\n  \"stream_alloc_reduction\": {:.1},\n  \"embed_alloc_reduction\": {:.1},\n  \"batch_decode_speedup\": {:.3},\n  \"channel_batch_speedup\": {:.3},\n  \"session_retained_bytes\": {:.0},\n  \"crc_ok_frames\": {}\n}}\n",
         section(&owned),
         section(&workspace),
         section(&stream_owned),
@@ -472,6 +523,7 @@ fn main() {
         embed_ratio,
         batch_speedup,
         channel_speedup,
+        session_bytes,
         owned.crc_ok,
     );
     std::fs::write("BENCH_pr4.json", &json).expect("write BENCH_pr4.json");
@@ -508,6 +560,11 @@ fn main() {
                 channel_lockstep.allocs_per_frame
             ));
         }
+        if session_bytes > SESSION_HEAP_LIMIT {
+            failures.push(format!(
+                "a warmed pooled session keeps {session_bytes:.0} heap bytes (limit {SESSION_HEAP_LIMIT:.0})"
+            ));
+        }
         if resilient_summary.allocs_per_frame >= resilient_report.allocs_per_frame {
             failures.push(format!(
                 "resilient summary path allocates {:.2}/frame, not below the report path's {:.2}",
@@ -523,7 +580,8 @@ fn main() {
              streaming rx 0 allocs/frame, tx+embed 0 allocs/frame ({embed_ratio:.1}x fewer), \
              batched decode 0 allocs/batch ({batch_speedup:.3}x vs per-frame), \
              channel batch 0 allocs/batch ({channel_speedup:.3}x vs per-frame), \
-             resilient summary {:.2} vs report {:.2} allocs/frame",
+             resilient summary {:.2} vs report {:.2} allocs/frame, \
+             {session_bytes:.0} heap bytes per pooled session",
             resilient_summary.allocs_per_frame, resilient_report.allocs_per_frame
         );
     }

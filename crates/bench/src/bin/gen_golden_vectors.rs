@@ -24,20 +24,13 @@
 
 use std::io::Write as _;
 
+use cos_dsp::fnv1a;
 use cos_phy::pipeline::{TxPipeline, TxWorkspace};
 use cos_phy::rates::DataRate;
 use cos_phy::rx::{Receiver, RxConfig};
 
 const SCRAMBLER_SEED: u8 = 0x5D;
 const PAYLOAD_LEN: usize = 64;
-
-fn fnv(bytes: impl IntoIterator<Item = u8>) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in bytes {
-        h = (h ^ b as u64).wrapping_mul(0x1_0000_01b3);
-    }
-    h
-}
 
 fn vector_payload(rate_idx: usize) -> Vec<u8> {
     (0..PAYLOAD_LEN).map(|i| ((i * 37 + rate_idx * 101 + 7) % 256) as u8).collect()
@@ -66,8 +59,8 @@ fn main() {
         buf.push(SCRAMBLER_SEED);
         buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         buf.extend_from_slice(&payload);
-        buf.extend_from_slice(&fnv(rx.data_bits.iter().copied()).to_le_bytes());
-        buf.extend_from_slice(&fnv(rx.hard_coded_bits.iter().copied()).to_le_bytes());
+        buf.extend_from_slice(&fnv1a(rx.data_bits.iter().copied()).to_le_bytes());
+        buf.extend_from_slice(&fnv1a(rx.hard_coded_bits.iter().copied()).to_le_bytes());
         buf.extend_from_slice(&(samples.len() as u32).to_le_bytes());
         for s in samples {
             buf.extend_from_slice(&s.re.to_le_bytes());

@@ -2,13 +2,15 @@
 //!
 //! The per-sample apply has a scalar reference and a lane kernel selected
 //! by [`cos_dsp::lanes::kernel_mode`]. Both produce the same bits: the
-//! lane path first draws the standard normals **in the exact scalar
-//! order** (Box–Muller draws are value-independent, so pre-drawing them
-//! into SoA scratch changes nothing), then applies
-//! `x + n·s` lanewise with the same per-element expression the scalar
-//! loop uses. The Box–Muller transcendentals themselves stay serial —
-//! the channel stage's SIMD win lives in the multipath convolution
-//! ([`crate::multipath`]), not here; see `docs/KERNELS.md`.
+//! lane path draws the standard normals of one [`LANES`]-sample chunk
+//! **in the exact scalar order** (Box–Muller draws are value-independent,
+//! so pre-drawing them changes nothing) into a `2 × LANES` stack array,
+//! then applies `x + n·s` lanewise with the same per-element expression
+//! the scalar loop uses. Nothing is staged on the heap, so an `Awgn` holds
+//! no buffer sized by the frame. The Box–Muller transcendentals
+//! themselves stay serial — the channel stage's SIMD win lives in the
+//! multipath convolution ([`crate::multipath`]), not here; see
+//! `docs/KERNELS.md`.
 
 use cos_dsp::lanes::{kernel_mode, F64xL, KernelMode, LANES};
 use cos_dsp::{Complex, GaussianSource};
@@ -17,44 +19,38 @@ use cos_dsp::{Complex, GaussianSource};
 /// [`crate::overlap::OverlapComposer`].
 ///
 /// Draws `2 · samples.len()` standard normals from `rng` in exactly the
-/// order the scalar `complex_normal` loop would (re, im, re, im, …),
-/// storing them de-interleaved in the caller's grow-only scratch, then
-/// adds `Complex::new(n_re · s, n_im · s)` to each sample where
+/// order the scalar `complex_normal` loop would (re, im, re, im, …), one
+/// [`LANES`]-sample chunk at a time into stack arrays, and adds
+/// `Complex::new(n_re · s, n_im · s)` to each sample where
 /// `s = (variance / 2).sqrt()` — the same expression, in the same order,
 /// as `complex_normal`, so the result is bit-identical to the scalar
 /// path.
-pub(crate) fn add_gaussian_lanes(
-    samples: &mut [Complex],
-    rng: &mut GaussianSource,
-    variance: f64,
-    nre: &mut Vec<f64>,
-    nim: &mut Vec<f64>,
-) {
+pub(crate) fn add_gaussian_lanes(samples: &mut [Complex], rng: &mut GaussianSource, variance: f64) {
     let s = (variance / 2.0).sqrt();
-    let n = samples.len();
-    nre.clear();
-    nim.clear();
-    for _ in 0..n {
-        // Draw order is the scalar order: one (re, im) pair per sample.
-        nre.push(rng.standard_normal());
-        nim.push(rng.standard_normal());
-    }
     let scale = F64xL::splat(s);
-    let mut i = 0;
-    while i + LANES <= n {
-        let xre = F64xL(std::array::from_fn(|l| samples[i + l].re));
-        let xim = F64xL(std::array::from_fn(|l| samples[i + l].im));
+    let mut chunks = samples.chunks_exact_mut(LANES);
+    for chunk in chunks.by_ref() {
+        // Draw order is the scalar order: one (re, im) pair per sample.
+        let mut nre = [0.0; LANES];
+        let mut nim = [0.0; LANES];
+        for (r, i) in nre.iter_mut().zip(&mut nim) {
+            *r = rng.standard_normal();
+            *i = rng.standard_normal();
+        }
+        let xre = F64xL(std::array::from_fn(|l| chunk[l].re));
+        let xim = F64xL(std::array::from_fn(|l| chunk[l].im));
         // `x + n·s` per lane: the scalar loop's `*x += Complex::new(
         // standard_normal() * s, standard_normal() * s)` verbatim.
-        let yre = xre + F64xL::load(&nre[i..]) * scale;
-        let yim = xim + F64xL::load(&nim[i..]) * scale;
-        for l in 0..LANES {
-            samples[i + l] = Complex::new(yre.0[l], yim.0[l]);
+        let yre = xre + F64xL(nre) * scale;
+        let yim = xim + F64xL(nim) * scale;
+        for (l, x) in chunk.iter_mut().enumerate() {
+            *x = Complex::new(yre.0[l], yim.0[l]);
         }
-        i += LANES;
     }
-    for j in i..n {
-        samples[j] += Complex::new(nre[j] * s, nim[j] * s);
+    for x in chunks.into_remainder() {
+        let re = rng.standard_normal();
+        let im = rng.standard_normal();
+        *x += Complex::new(re * s, im * s);
     }
 }
 
@@ -75,10 +71,6 @@ pub(crate) fn add_gaussian_lanes(
 pub struct Awgn {
     noise_var: f64,
     rng: GaussianSource,
-    /// Grow-only SoA scratch for the lane kernel's pre-drawn normals
-    /// (real parts / imaginary parts).
-    nre: Vec<f64>,
-    nim: Vec<f64>,
 }
 
 impl Awgn {
@@ -90,7 +82,7 @@ impl Awgn {
     /// Panics if `noise_var` is negative or not finite.
     pub fn new(noise_var: f64, seed: u64) -> Self {
         assert!(noise_var >= 0.0 && noise_var.is_finite(), "invalid noise variance {noise_var}");
-        Awgn { noise_var, rng: GaussianSource::new(seed), nre: Vec::new(), nim: Vec::new() }
+        Awgn { noise_var, rng: GaussianSource::new(seed) }
     }
 
     /// The configured per-sample noise variance.
@@ -136,13 +128,7 @@ impl Awgn {
                 }
             }
             KernelMode::Lanes => {
-                add_gaussian_lanes(
-                    samples,
-                    &mut self.rng,
-                    self.noise_var,
-                    &mut self.nre,
-                    &mut self.nim,
-                );
+                add_gaussian_lanes(samples, &mut self.rng, self.noise_var);
             }
         }
     }

@@ -12,7 +12,7 @@ use crate::awgn::Awgn;
 use crate::calibration::Calibration;
 use crate::impairment::{FaultEngine, FeedbackFate, ImpairmentCtx};
 use crate::interference::PulseInterferer;
-use crate::multipath::{ChannelConfig, ConvScratch, IndoorChannel};
+use crate::multipath::{ChannelConfig, IndoorChannel};
 use crate::sounder::ChannelSounder;
 use cos_dsp::lanes::{kernel_mode, C64xL, KernelMode, LANES};
 use cos_dsp::{db_to_linear, Complex};
@@ -40,8 +40,6 @@ pub struct Link {
     packet_index: u64,
     /// Accumulated airtime in seconds (at 20 Msps) — drives drift faults.
     airtime_s: f64,
-    /// Grow-only scratch for the lane convolution kernel.
-    conv: ConvScratch,
 }
 
 /// One frame of a lockstep transmission batch: the link, its transmit
@@ -80,7 +78,6 @@ impl Link {
             faults: None,
             packet_index: 0,
             airtime_s: 0.0,
-            conv: ConvScratch::default(),
         }
     }
 
@@ -214,7 +211,7 @@ impl Link {
     pub fn transmit_into(&mut self, tx: &[Complex], rx: &mut Vec<Complex>) {
         rx.clear();
         rx.resize(self.lead_in, Complex::ZERO);
-        self.channel.apply_append_with(tx, rx, kernel_mode(), &mut self.conv);
+        self.channel.apply_append_with(tx, rx, kernel_mode());
         self.finish_transmit(rx);
     }
 

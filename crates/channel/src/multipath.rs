@@ -12,19 +12,12 @@ use cos_dsp::fft::plan;
 use cos_dsp::lanes::{C64xL, KernelMode, LANES};
 use cos_dsp::{Complex, GaussianSource};
 
-/// Grow-only scratch for the lane convolution kernel: the composite taps
-/// staged once per frame, and the input samples transposed to SoA so the
-/// inner loop does contiguous lane loads instead of strided gathers.
-///
-/// Owned by whoever drives [`IndoorChannel::apply_append_with`] on the
-/// hot path (a [`crate::Link`] owns one), so steady-state transmission
-/// stays allocation-free.
-#[derive(Debug, Clone, Default)]
-pub struct ConvScratch {
-    taps: Vec<Complex>,
-    xre: Vec<f64>,
-    xim: Vec<f64>,
-}
+/// The most taps a channel can have: [`ChannelConfig::pdp`] keeps the
+/// impulse response within the 16-sample cyclic prefix.
+const MAX_TAPS: usize = 16;
+
+/// Interior outputs per stack-staged block of the lane convolution.
+const CONV_BLOCK: usize = 8 * LANES;
 
 /// Configuration of the indoor tapped-delay-line channel.
 #[derive(Debug, Clone, Copy)]
@@ -76,7 +69,7 @@ impl ChannelConfig {
 
     /// The normalised power-delay profile (sums to 1).
     pub fn pdp(&self) -> Vec<f64> {
-        assert!(self.n_taps >= 1 && self.n_taps <= 16, "taps must fit in the cyclic prefix");
+        assert!(self.n_taps >= 1 && self.n_taps <= MAX_TAPS, "taps must fit in the cyclic prefix");
         let raw: Vec<f64> = (0..self.n_taps).map(|l| self.tap_decay.powi(l as i32)).collect();
         let total: f64 = raw.iter().sum();
         raw.into_iter().map(|p| p / total).collect()
@@ -215,18 +208,15 @@ impl IndoorChannel {
     /// the kernel evaluates eight adjacent `j` per op, each accumulating
     /// its tap sum in descending-`l` order from zero — exactly the order
     /// the scalar loop's ascending-`i` accumulation produces for that
-    /// output. The head (`j < taps−1`) and tail (`j ≥ samples`) outputs,
-    /// whose tap ranges are clipped, run the same descending-`l` sum
-    /// per-output. Bit-identical to scalar by the ordering contract in
-    /// `docs/KERNELS.md`; gated by
+    /// output. The interior outputs run in blocks of [`CONV_BLOCK`]: each
+    /// block's input window is deinterleaved into stack arrays so the
+    /// inner loop does contiguous lane loads, and nothing sized by the
+    /// frame is kept between calls. The head (`j < taps−1`) and tail
+    /// (`j ≥ samples`) outputs, whose tap ranges are clipped, run the
+    /// same descending-`l` sum per-output. Bit-identical to scalar by the
+    /// ordering contract in `docs/KERNELS.md`; gated by
     /// `crates/channel/tests/kernel_differential.rs`.
-    pub fn apply_append_with(
-        &self,
-        samples: &[Complex],
-        out: &mut Vec<Complex>,
-        mode: KernelMode,
-        scratch: &mut ConvScratch,
-    ) {
+    pub fn apply_append_with(&self, samples: &[Complex], out: &mut Vec<Complex>, mode: KernelMode) {
         if mode == KernelMode::Scalar {
             self.apply_append(samples, out);
             return;
@@ -238,34 +228,41 @@ impl IndoorChannel {
         out.resize(base + total, Complex::ZERO);
         let region = &mut out[base..];
 
-        // Stage the composite taps once (same `s + d` expression as the
-        // scalar loop) and transpose the input to SoA for contiguous
-        // lane loads.
-        scratch.taps.clear();
-        scratch.taps.extend(
-            self.specular.iter().zip(&self.diffuse).map(|(s, d)| *s + *d),
-        );
-        scratch.xre.clear();
-        scratch.xim.clear();
-        scratch.xre.extend(samples.iter().map(|x| x.re));
-        scratch.xim.extend(samples.iter().map(|x| x.im));
-        let taps = &scratch.taps[..n_taps];
+        // The composite taps, staged once (same `s + d` expression as the
+        // scalar loop).
+        let mut staged = [Complex::ZERO; MAX_TAPS];
+        for (t, (s, d)) in staged.iter_mut().zip(self.specular.iter().zip(&self.diffuse)) {
+            *t = *s + *d;
+        }
+        let taps = &staged[..n_taps];
 
         // Interior outputs j ∈ [n_taps−1, n) see the full tap range; run
-        // them in lane chunks of eight.
+        // them in lane chunks of eight, a block of chunks per staging of
+        // the block's input window x[j0−(n_taps−1) .. j0+width].
         let int_lo = n_taps - 1;
+        let mut xre = [0.0f64; CONV_BLOCK + MAX_TAPS - 1];
+        let mut xim = [0.0f64; CONV_BLOCK + MAX_TAPS - 1];
         let mut j0 = int_lo;
-        while n >= LANES && j0 + LANES <= n {
-            let mut acc = C64xL::default();
-            for l in (0..n_taps).rev() {
-                let i = j0 - l;
-                let x = C64xL::load_split(&scratch.xre[i..], &scratch.xim[i..]);
-                acc = acc + x * C64xL::splat(taps[l].re, taps[l].im);
+        while j0 + LANES <= n {
+            let width = ((n - j0) / LANES).min(CONV_BLOCK / LANES) * LANES;
+            let window = &samples[j0 - int_lo..j0 + width];
+            for ((r, i), x) in xre.iter_mut().zip(xim.iter_mut()).zip(window) {
+                *r = x.re;
+                *i = x.im;
             }
-            for (k, r) in region[j0..j0 + LANES].iter_mut().enumerate() {
-                *r = Complex::new(acc.re.0[k], acc.im.0[k]);
+            for c in (0..width).step_by(LANES) {
+                let mut acc = C64xL::default();
+                for l in (0..n_taps).rev() {
+                    // Window offset of x[j0 + c − l].
+                    let i = c + int_lo - l;
+                    let x = C64xL::load_split(&xre[i..], &xim[i..]);
+                    acc = acc + x * C64xL::splat(taps[l].re, taps[l].im);
+                }
+                for (k, r) in region[j0 + c..j0 + c + LANES].iter_mut().enumerate() {
+                    *r = Complex::new(acc.re.0[k], acc.im.0[k]);
+                }
             }
-            j0 += LANES;
+            j0 += width;
         }
 
         // Everything outside the lane-chunked span — the head, the tail
@@ -439,7 +436,6 @@ mod tests {
 
     #[test]
     fn lane_convolution_matches_scalar_bit_for_bit() {
-        let mut scratch = ConvScratch::default();
         for n_taps in [1usize, 2, 6, 16] {
             let cfg = ChannelConfig { n_taps, ..ChannelConfig::default() };
             let ch = IndoorChannel::new(cfg, 31 + n_taps as u64);
@@ -451,7 +447,7 @@ mod tests {
                 let mut a = vec![Complex::ONE; 3];
                 let mut b = a.clone();
                 ch.apply_append(&tx, &mut a);
-                ch.apply_append_with(&tx, &mut b, KernelMode::Lanes, &mut scratch);
+                ch.apply_append_with(&tx, &mut b, KernelMode::Lanes);
                 assert_eq!(a.len(), b.len(), "taps {n_taps} len {len}");
                 for (x, y) in a.iter().zip(&b) {
                     assert_eq!(x.re.to_bits(), y.re.to_bits(), "taps {n_taps} len {len}");

@@ -10,8 +10,7 @@
 //! assume the channel is a pure function of (seed, draw count).
 
 use cos_channel::{
-    Awgn, ChannelBatch, ChannelConfig, ConvScratch, ImpairmentCtx, IndoorChannel, Link, Overlap,
-    OverlapComposer,
+    Awgn, ChannelBatch, ChannelConfig, ImpairmentCtx, IndoorChannel, Link, Overlap, OverlapComposer,
 };
 use cos_dsp::lanes::LANES;
 use cos_dsp::{Complex, KernelMode};
@@ -85,9 +84,8 @@ proptest! {
         let ch = IndoorChannel::new(cfg, seed);
         let mut scalar = vec![Complex::ONE; prefix];
         let mut lanes = scalar.clone();
-        let mut scratch = ConvScratch::default();
         ch.apply_append(&signal, &mut scalar);
-        ch.apply_append_with(&signal, &mut lanes, KernelMode::Lanes, &mut scratch);
+        ch.apply_append_with(&signal, &mut lanes, KernelMode::Lanes);
         assert_bits_eq(&scalar, &lanes);
     }
 

@@ -2,12 +2,21 @@
 //! [`CosSession`]s plus a [`BatchEngine`] that shards frame jobs across
 //! worker threads on the `PipelineStage` seam.
 //!
-//! PR 4 made every per-frame buffer session-owned (`CosSession` carries
-//! its `PhyWorkspace`, detection scratch and selection buffers), which
-//! turns "run N frames for M sessions" into a pure orchestration
-//! problem: each worker thread claims whole per-session job groups, so a
-//! session's scratch is only ever touched by one thread at a time and no
-//! transform needs to know it is being batched.
+//! # Ownership: sessions keep state, workers keep frame scratch
+//!
+//! A [`CosSession`] holds only what outlives a frame: protocol state
+//! (selection vector, rate, ARQ and adaptation machines, the link's
+//! channel and RNG streams) and a few small per-packet vectors. Every
+//! buffer sized by the frame — the tx waveform, the rx landing zone, the
+//! decoder workspace, the EVM reference and the detection result — lives
+//! in a `FrameScratch`, and the engine owns one `WorkerScratch` per worker
+//! thread: a `FrameScratch` per lockstep lane plus the lockstep Viterbi
+//! and batched-channel staging. They persist across drains, so the
+//! engine's footprint scales with frames in flight (`workers × LANES`),
+//! not with pooled sessions. Each worker claims whole per-session job
+//! groups, so a session is only ever touched by one thread at a time,
+//! and a lane's scratch serves one frame from its tx stage to its finish
+//! stage before the next frame (of any session) reuses it.
 //!
 //! # Determinism
 //!
@@ -24,10 +33,11 @@
 //!
 //! # Zero allocation at steady state
 //!
-//! [`BatchEngine::drain_into`] reuses its job/order/group buffers and the
-//! caller's outcome buffer; jobs reference payload/control bytes by ID
-//! into tables registered up front ([`BatchEngine::add_payload`] /
-//! [`BatchEngine::add_control`]); and each frame runs through
+//! [`BatchEngine::drain_into`] reuses its job/order/group buffers, its
+//! worker scratch and the caller's outcome buffer; jobs reference
+//! payload/control bytes by ID into tables registered up front
+//! ([`BatchEngine::add_payload`] / [`BatchEngine::add_control`]); and
+//! each frame runs through the same stage functions as
 //! [`CosSession::send_packet_summary`], whose hot path performs no heap
 //! allocation. A warmed-up single-threaded drain of plain jobs is
 //! allocation-free per frame (`session_storm` measures and `scripts/
@@ -35,8 +45,8 @@
 //! not per-frame — orchestration cost (thread spawns and one unit list).
 
 use crate::session::{
-    AdaptiveSummary, AdaptiveTx, CosSession, PacketSummary, PlainPrep, ResilientSummary,
-    ResilientTx, SessionConfig, TxPrep,
+    AdaptiveSummary, AdaptiveTx, CosSession, FrameScratch, PacketSummary, PlainPrep,
+    ResilientSummary, ResilientTx, SessionConfig, TxPrep,
 };
 use cos_channel::{BatchFrame, ChannelBatch, Link};
 use cos_dsp::lanes::LANES;
@@ -322,6 +332,16 @@ pub struct EngineConfig {
     pub threads: usize,
 }
 
+/// One worker's persistent frame scratch: a [`FrameScratch`] per lockstep
+/// lane, plus the SoA staging of the lockstep Viterbi and of the batched
+/// channel. Lane `k` of a round always uses `frames[k]`.
+#[derive(Debug, Default)]
+struct WorkerScratch {
+    frames: [FrameScratch; LANES],
+    batch: SymbolBatch,
+    air: ChannelBatch,
+}
+
 /// The batch front door: submit frame jobs tagged by session, then drain
 /// them across worker threads — see the module docs for the determinism
 /// and allocation guarantees.
@@ -357,12 +377,10 @@ pub struct BatchEngine {
     order: Vec<u32>,
     /// Contiguous per-slot ranges of `order` — rebuilt per drain.
     groups: Vec<Group>,
-    /// SoA staging for the single-threaded lockstep Viterbi — engine-owned
-    /// so the zero-allocation drain path keeps its guarantee.
-    batch: SymbolBatch,
-    /// SoA staging for the single-threaded batched channel
-    /// ([`Link::transmit_batch_into`]) — engine-owned for the same reason.
-    air: ChannelBatch,
+    /// One frame scratch per worker thread, kept across drains so the
+    /// zero-allocation drain path keeps its guarantee; grown to the
+    /// largest worker count any drain has used.
+    workers: Vec<WorkerScratch>,
 }
 
 impl BatchEngine {
@@ -471,8 +489,12 @@ impl BatchEngine {
             i = j;
         }
 
-        let BatchEngine { payloads, controls, jobs, order, groups, cfg, batch, air } = self;
+        let BatchEngine { payloads, controls, jobs, order, groups, cfg, workers: scratch } = self;
         let workers = configured_threads(cfg.threads).min(groups.len());
+        if scratch.len() < workers.max(1) {
+            scratch.resize_with(workers.max(1), WorkerScratch::default);
+        }
+        let (payloads, controls, jobs, order) = (&*payloads, &*controls, &*jobs, &*order);
 
         if workers <= 1 {
             // Bundle groups whose current frames will lockstep: sorting
@@ -502,11 +524,10 @@ impl BatchEngine {
                         idxs[n] = g.slot as usize;
                         n += 1;
                     } else {
-                        run_group(payloads, controls, jobs, order, g, 0, None, |i, o| {
-                            out[i] = o
-                        });
+                        resolve_stale(jobs, order, g, |i, o| out[i] = o);
                     }
                 }
+                let ws = &mut scratch[0];
                 if n == LANES {
                     // Groups are unique per slot, so the indices are
                     // distinct and the disjoint borrow always succeeds.
@@ -520,7 +541,7 @@ impl BatchEngine {
                         let sess = slot.session.as_mut().expect("liveness checked above");
                         *u = Some((g, slot.generation, sess));
                     }
-                    run_units_lockstep(payloads, controls, jobs, order, &mut units, batch, air, |i, o| {
+                    run_units_lockstep(payloads, controls, jobs, order, &mut units, ws, |i, o| {
                         out[i] = o
                     });
                 } else {
@@ -530,7 +551,7 @@ impl BatchEngine {
                         let slot = &mut pool.slots[si];
                         let sess = slot.session.as_mut().expect("liveness checked above");
                         let mut unit = [Some((g, slot.generation, sess))];
-                        run_units_lockstep(payloads, controls, jobs, order, &mut unit, batch, air, |i, o| {
+                        run_units_lockstep(payloads, controls, jobs, order, &mut unit, ws, |i, o| {
                             out[i] = o
                         });
                     }
@@ -551,16 +572,14 @@ impl BatchEngine {
                     let g = groups[gi];
                     match slot.session.as_mut() {
                         Some(sess) => raw.push((g, slot.generation, sess)),
-                        None => run_group(payloads, controls, jobs, order, g, 0, None, |i, o| {
-                            out[i] = o
-                        }),
+                        None => resolve_stale(jobs, order, g, |i, o| out[i] = o),
                     }
                     gi += 1;
                 }
             }
             for &g in &groups[gi..] {
                 // Slots beyond the slab (handles from another pool).
-                run_group(payloads, controls, jobs, order, g, 0, None, |i, o| out[i] = o);
+                resolve_stale(jobs, order, g, |i, o| out[i] = o);
             }
             // Same equal-trellis-length clustering as the single-threaded
             // walk: workers claim contiguous runs, so sorting here is what
@@ -570,13 +589,12 @@ impl BatchEngine {
 
             let next = AtomicUsize::new(0);
             let results: Vec<Vec<(usize, JobOutcome)>> = std::thread::scope(|scope| {
-                let units = &units;
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        scope.spawn(|| {
+                let (units, next) = (&units, &next);
+                let handles: Vec<_> = scratch[..workers]
+                    .iter_mut()
+                    .map(|ws| {
+                        scope.spawn(move || {
                             let mut local = Vec::new();
-                            let mut batch = SymbolBatch::new();
-                            let mut air = ChannelBatch::default();
                             loop {
                                 // Claim a lockstep bundle of up to LANES
                                 // units so this worker can decode its
@@ -604,8 +622,7 @@ impl BatchEngine {
                                     jobs,
                                     order,
                                     &mut claimed[..filled],
-                                    &mut batch,
-                                    &mut air,
+                                    ws,
                                     |i, o| local.push((i, o)),
                                 );
                             }
@@ -624,28 +641,6 @@ impl BatchEngine {
     }
 }
 
-/// Runs up to [`LANES`] per-slot job groups in lockstep: each round takes
-/// the next job of every group and drives it through five stages —
-/// per-kind tx prepare (build/embed/render, plus the ARQ poll or probe
-/// composition for resilient/adaptive jobs), the air stage (batched
-/// across the round via [`Link::transmit_batch_into`] when every lane
-/// rendered a same-length waveform, per-frame otherwise), per-frame rx
-/// prepare, the Viterbi stage ([`ViterbiDecoder::decode_lockstep`],
-/// [`LANES`] frames per instruction, when a full lane group staged), and
-/// the per-kind finish (feedback loop, ARQ confirmation, controller
-/// observation).
-///
-/// Per-session order stays submit order (a round advances each group by
-/// exactly one job) and each stage is bit-identical to its monolithic
-/// counterpart — `send_packet_summary` and the resilient/adaptive cores
-/// are themselves composed from these same stage functions — so outcomes
-/// are byte-identical to running the groups one at a time. The ARQ and
-/// adaptation state machines stay per-session: only the
-/// tx → channel → rx symbol work locks step.
-///
-/// Rounds with fewer than [`LANES`] prepared frames (uneven group
-/// lengths, stale handles) fall back to the per-frame air and Viterbi
-/// paths — still SIMD across trellis states, just not across sessions.
 /// Bundle-formation key: groups sort by their head job's payload length
 /// and the session's planned rate. The staged trellis length is
 /// `2 × (SERVICE + 8 × psdu + TAIL)` mother-code bits, a function of
@@ -695,18 +690,42 @@ impl PendTx {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Runs up to [`LANES`] per-slot job groups in lockstep: each round takes
+/// the next job of every group and drives it through five stages —
+/// per-kind tx prepare (build/embed/render, plus the ARQ poll or probe
+/// composition for resilient/adaptive jobs), the air stage (batched
+/// across the round via [`Link::transmit_batch_into`] when every lane
+/// rendered a same-length waveform, per-frame otherwise), per-frame rx
+/// prepare, the Viterbi stage ([`ViterbiDecoder::decode_lockstep`],
+/// [`LANES`] frames per instruction, when a full lane group staged), and
+/// the per-kind finish (feedback loop, ARQ confirmation, controller
+/// observation).
+///
+/// Per-session order stays submit order (a round advances each group by
+/// exactly one job) and each stage is bit-identical to its monolithic
+/// counterpart — `send_packet_summary` and the resilient/adaptive cores
+/// are themselves composed from these same stage functions — so outcomes
+/// are byte-identical to running the groups one at a time. The ARQ and
+/// adaptation state machines stay per-session: only the
+/// tx → channel → rx symbol work locks step.
+///
+/// Rounds with fewer than [`LANES`] prepared frames (uneven group
+/// lengths, stale handles) fall back to the per-frame air and the
+/// per-frame scalar Viterbi.
+///
+/// Lane `k` of every round runs on `ws.frames[k]`, which holds that
+/// lane's frame from tx prepare through finish.
 fn run_units_lockstep(
     payloads: &[Box<[u8]>],
     controls: &[Box<[u8]>],
     jobs: &[Job],
     order: &[u32],
     units: &mut [Option<(Group, u32, &mut CosSession)>],
-    batch: &mut SymbolBatch,
-    air: &mut ChannelBatch,
+    ws: &mut WorkerScratch,
     mut emit: impl FnMut(usize, JobOutcome),
 ) {
     debug_assert!(units.len() <= LANES);
+    let WorkerScratch { frames: fss, batch, air } = ws;
     let mut cursors = [0usize; LANES];
     for (k, u) in units.iter().enumerate() {
         if let Some((g, _, _)) = u {
@@ -762,16 +781,15 @@ fn run_units_lockstep(
 
         let mut pend: [Option<PendTx>; LANES] = [None; LANES];
         let mut preps: [Option<PlainPrep>; LANES] = [None; LANES];
-        let prepare_tx = |sess: &mut CosSession, job: Job| match job.kind {
-            JobKind::Plain(c) => PendTx::Plain(
-                sess.plain_prepare_tx(&payloads[job.payload.0 as usize], &controls[c.0 as usize]),
-                c,
-            ),
-            JobKind::Resilient => {
-                PendTx::Resilient(sess.resilient_prepare_tx(&payloads[job.payload.0 as usize]))
-            }
-            JobKind::Adaptive => {
-                PendTx::Adaptive(sess.adaptive_prepare_tx(&payloads[job.payload.0 as usize]))
+        let prepare_tx = |sess: &mut CosSession, fs: &mut FrameScratch, job: Job| {
+            let payload = &payloads[job.payload.0 as usize];
+            match job.kind {
+                JobKind::Plain(c) => PendTx::Plain(
+                    sess.transceive_prepare_tx(fs, payload, &controls[c.0 as usize], true),
+                    c,
+                ),
+                JobKind::Resilient => PendTx::Resilient(sess.resilient_prepare_tx(fs, payload)),
+                JobKind::Adaptive => PendTx::Adaptive(sess.adaptive_prepare_tx(fs, payload)),
             }
         };
 
@@ -782,20 +800,20 @@ fn run_units_lockstep(
             // each. `transmit_batch_into` re-checks actual lengths and
             // falls back per-frame if the prediction missed — rare, and
             // bit-identical either way.
-            for (k, u) in units.iter_mut().enumerate() {
+            for (k, (u, fs)) in units.iter_mut().zip(fss.iter_mut()).enumerate() {
                 let (_, _, sess) = u.as_mut().expect("homogeneous round has every unit live");
-                pend[k] = Some(prepare_tx(sess, round[k].expect("checked above")));
+                pend[k] = Some(prepare_tx(sess, fs, round[k].expect("checked above")));
             }
             let mut frames: [Option<BatchFrame<'_>>; LANES] = std::array::from_fn(|_| None);
-            for (f, u) in frames.iter_mut().zip(units.iter_mut()) {
+            for ((f, u), fs) in frames.iter_mut().zip(units.iter_mut()).zip(fss.iter_mut()) {
                 let (_, _, sess) = u.as_mut().expect("homogeneous round has every unit live");
-                *f = Some(sess.air_parts());
+                *f = Some(sess.air_parts(fs));
             }
             Link::transmit_batch_into(&mut frames, air);
-            for (k, u) in units.iter_mut().enumerate() {
+            for (k, (u, fs)) in units.iter_mut().zip(fss.iter_mut()).enumerate() {
                 let (_, _, sess) = u.as_mut().expect("homogeneous round has every unit live");
                 let p = pend[k].as_ref().expect("staged path prepared every lane");
-                preps[k] = Some(sess.plain_prepare_rx(p.tx()));
+                preps[k] = Some(sess.transceive_prepare_rx(fs, p.tx()));
             }
         } else {
             // Fused path: each session's tx → air → rx runs back to back
@@ -803,41 +821,36 @@ fn run_units_lockstep(
             // still locks step across the round — the trellis length
             // depends on payload length alone, so mixed-rate rounds with
             // equal payloads decode LANES frames per instruction anyway.
-            for (k, u) in units.iter_mut().enumerate() {
+            for (k, (u, fs)) in units.iter_mut().zip(fss.iter_mut()).enumerate() {
                 let Some((_, _, sess)) = u.as_mut() else { continue };
                 let Some(job) = round[k] else { continue };
-                let p = prepare_tx(sess, job);
-                sess.air();
-                preps[k] = Some(sess.plain_prepare_rx(p.tx()));
+                let p = prepare_tx(sess, fs, job);
+                sess.air(fs);
+                preps[k] = Some(sess.transceive_prepare_rx(fs, p.tx()));
                 pend[k] = Some(p);
             }
         }
 
         // Stage 4: Viterbi — lockstep when a full lane group staged.
-        let staged = units
-            .iter()
-            .zip(preps.iter())
-            .filter(|(u, p)| u.is_some() && p.as_ref().is_some_and(|pr| pr.staged_ok().is_some()))
-            .count();
+        let staged = preps.iter().filter(|p| p.is_some_and(|pr| pr.staged_ok().is_some())).count();
         if staged == LANES {
-            let mut it = units.iter_mut().zip(preps.iter()).filter_map(|(u, p)| {
-                let (_, _, sess) = u.as_mut()?;
-                let sp = p.as_ref()?.staged_ok()?;
-                Some(sess.staged_viterbi_frame(sp))
-            });
+            let mut it = fss
+                .iter_mut()
+                .zip(preps.iter())
+                .filter_map(|(fs, p)| Some(fs.lane_frame(p.as_ref()?.staged_ok()?)));
             let mut lanes: [_; LANES] =
                 std::array::from_fn(|_| it.next().expect("LANES staged frames"));
             ViterbiDecoder::new().decode_lockstep(&mut lanes, true, batch);
         } else {
-            for (u, p) in units.iter_mut().zip(preps.iter()) {
-                if let (Some((_, _, sess)), Some(prep)) = (u.as_mut(), p) {
-                    sess.plain_run_viterbi(prep);
+            for (fs, p) in fss.iter_mut().zip(preps.iter()) {
+                if let Some(prep) = p {
+                    fs.run_viterbi(prep);
                 }
             }
         }
 
         // Stage 5: per-kind finish of every prepared frame.
-        for (k, u) in units.iter_mut().enumerate() {
+        for (k, (u, fs)) in units.iter_mut().zip(fss.iter_mut()).enumerate() {
             let Some((_, _, sess)) = u.as_mut() else { continue };
             let Some(p) = pend[k].take() else { continue };
             let prep = preps[k].take().expect("stage 3 prepared every pending frame");
@@ -845,14 +858,14 @@ fn run_units_lockstep(
             let job = jobs[idx];
             let result = match p {
                 PendTx::Plain(_, c) => {
-                    JobResult::Plain(sess.plain_finish(&controls[c.0 as usize], prep))
+                    JobResult::Plain(sess.plain_finish(fs, &controls[c.0 as usize], prep))
                 }
                 PendTx::Resilient(meta) => {
-                    let core = sess.resilient_finish(meta, prep);
+                    let core = sess.resilient_finish(fs, meta, prep);
                     JobResult::Resilient(sess.resilient_summarize(&core))
                 }
                 PendTx::Adaptive(meta) => {
-                    let core = sess.adaptive_finish(meta, prep);
+                    let core = sess.adaptive_finish(fs, meta, prep);
                     JobResult::Adaptive(sess.adaptive_summarize(&core))
                 }
             };
@@ -862,49 +875,13 @@ fn run_units_lockstep(
     }
 }
 
-/// Runs one per-slot job group in submit order on its (possibly absent)
-/// session, emitting `(submit index, outcome)` pairs.
-#[allow(clippy::too_many_arguments)]
-fn run_group(
-    payloads: &[Box<[u8]>],
-    controls: &[Box<[u8]>],
-    jobs: &[Job],
-    order: &[u32],
-    g: Group,
-    slot_generation: u32,
-    session: Option<&mut CosSession>,
-    mut emit: impl FnMut(usize, JobOutcome),
-) {
-    let range = &order[g.start as usize..g.end as usize];
-    match session {
-        None => {
-            for &idx in range {
-                let job = jobs[idx as usize];
-                emit(idx as usize, JobOutcome { session: job.session, result: JobResult::StaleSession });
-            }
-        }
-        Some(sess) => {
-            for &idx in range {
-                let job = jobs[idx as usize];
-                let result = if job.session.generation != slot_generation {
-                    JobResult::StaleSession
-                } else {
-                    let payload = &payloads[job.payload.0 as usize];
-                    match job.kind {
-                        JobKind::Plain(c) => JobResult::Plain(
-                            sess.send_packet_summary(payload, &controls[c.0 as usize]),
-                        ),
-                        JobKind::Resilient => {
-                            JobResult::Resilient(sess.send_packet_resilient_summary(payload))
-                        }
-                        JobKind::Adaptive => {
-                            JobResult::Adaptive(sess.send_packet_adaptive_summary(payload))
-                        }
-                    }
-                };
-                emit(idx as usize, JobOutcome { session: job.session, result });
-            }
-        }
+/// Resolves every job of a group whose slot holds no live session (or
+/// lies beyond the slab) as [`JobResult::StaleSession`], emitting
+/// `(submit index, outcome)` pairs.
+fn resolve_stale(jobs: &[Job], order: &[u32], g: Group, mut emit: impl FnMut(usize, JobOutcome)) {
+    for &idx in &order[g.start as usize..g.end as usize] {
+        let job = jobs[idx as usize];
+        emit(idx as usize, JobOutcome { session: job.session, result: JobResult::StaleSession });
     }
 }
 

@@ -588,8 +588,10 @@ impl MeshNet {
                         }
                     }
                     let collided = !comp.is_empty();
-                    let overlaps = comp.overlaps().to_vec();
                     let st = &mut cell.stations[tx.station];
+                    // Only the trace reads the overlap specs back.
+                    let overlaps =
+                        if st.trace.is_some() { comp.overlaps().to_vec() } else { Vec::new() };
                     let session = self.pool.get_mut(st.data).expect("live data session");
                     // Periodic uplink control message — the free-rider
                     // traffic whose delivery the experiment scores.
@@ -604,7 +606,14 @@ impl MeshNet {
                         session.queue_adaptive_control(bits);
                     }
                     st.uplink_sent += 1;
-                    session.set_faults(FaultEngine::new().with(comp));
+                    // An empty composer is transparent and draws nothing,
+                    // so a frame that did not collide runs with no fault
+                    // engine at all instead of boxing an empty one.
+                    if collided {
+                        session.set_faults(FaultEngine::new().with(comp));
+                    } else {
+                        session.clear_faults();
+                    }
                     self.engine.submit_adaptive(st.data, payload);
                     self.subs.push(Sub {
                         cell: ci as u32,

@@ -32,8 +32,8 @@ use crate::resilience::{
 };
 use crate::subcarrier_select::{select_control_subcarriers_into, SelectionPolicy};
 use crate::validation::{sanitize_selection, validate_silences_into};
-use cos_channel::{ChannelConfig, FaultEngine, FeedbackFate, Link};
-use cos_dsp::Complex;
+use cos_channel::{BatchFrame, ChannelConfig, FaultEngine, FeedbackFate, Link};
+use cos_dsp::fnv1a;
 use cos_fec::LaneFrame;
 use cos_phy::error::PhyError;
 use cos_phy::evm::{per_subcarrier_evm, reconstruct_points_into};
@@ -43,9 +43,63 @@ use cos_phy::rx::Receiver;
 use cos_phy::subcarriers::NUM_DATA;
 use cos_phy::tx::Transmitter;
 use cos_phy::{PhyWorkspace, TxWorkspace};
+use std::cell::RefCell;
 use std::collections::VecDeque;
 
-/// What [`CosSession::transceive_prepare`] staged: either the front end
+/// The frame-sized scratch of one frame in flight: the tx frame and
+/// waveform, the rx landing zone and decoder workspace, the EVM
+/// reference reconstruction and the energy-detection result. Sessions
+/// own none of it — a session keeps only protocol state and small
+/// per-packet vectors, so its footprint does not grow with the frame.
+/// The engine keeps one `FrameScratch` per lockstep lane per worker;
+/// the standalone `send_packet*` methods borrow a thread-local one.
+///
+/// Every stage fully overwrites what it writes before reading it back,
+/// so scratch left dirty by any earlier frame — of the same session or
+/// of another one, at another rate and length — yields the same bits as
+/// fresh scratch. A frame must keep the same scratch from its tx stage
+/// through its finish stage.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct FrameScratch {
+    /// Zero-copy PHY scratch: the tx frame and waveform, the rx landing
+    /// zone, and the decoder workspace.
+    ws: PhyWorkspace,
+    /// Reference-frame reconstruction scratch for the EVM feedback loop
+    /// (kept separate from `ws.tx`, which still holds the sent frame).
+    ref_tx: TxWorkspace,
+    /// Energy-detection scratch.
+    det: Detection,
+}
+
+impl FrameScratch {
+    /// The Viterbi stage, per-frame form: decodes the staged trellis (if
+    /// any) in place.
+    pub(crate) fn run_viterbi(&mut self, prep: &PlainPrep) {
+        if let Some(p) = prep.staged_ok() {
+            run_staged_viterbi(p, &mut self.ws.rx.scratch.fec);
+        }
+    }
+
+    /// The Viterbi stage in lockstep form: borrows the staged trellis as
+    /// one lane frame for [`cos_fec::ViterbiDecoder::decode_lockstep`].
+    /// Running the lane frame leaves exactly the state
+    /// [`run_viterbi`](Self::run_viterbi) would.
+    pub(crate) fn lane_frame(&mut self, prep: PreparedDataField) -> LaneFrame<'_> {
+        staged_lane_frame(prep, &mut self.ws.rx.scratch.fec)
+    }
+}
+
+thread_local! {
+    /// The frame scratch standalone sends on this thread borrow.
+    static FRAME: RefCell<FrameScratch> = RefCell::new(FrameScratch::default());
+}
+
+/// Runs `f` on this thread's standalone-send [`FrameScratch`].
+fn with_frame<R>(f: impl FnOnce(&mut FrameScratch) -> R) -> R {
+    FRAME.with(|cell| f(&mut cell.borrow_mut()))
+}
+
+/// What [`CosSession::transceive_prepare_rx`] staged: either the front end
 /// failed outright, or the DATA field staged with the inner result.
 #[derive(Debug, Clone, Copy)]
 enum PlainStage {
@@ -56,7 +110,7 @@ enum PlainStage {
 }
 
 /// `Copy` token carrying everything `transceive_finish` needs from
-/// `transceive_prepare` — the seam the engine's lockstep Viterbi slots
+/// `transceive_prepare_rx` — the seam the engine's lockstep Viterbi slots
 /// into: prepare several sessions' frames, run their trellises `LANES`
 /// per instruction, then finish each.
 #[derive(Debug, Clone, Copy)]
@@ -284,16 +338,6 @@ pub struct SessionMetrics {
     pub silence_budget: usize,
 }
 
-/// FNV-1a over a byte stream — the summary types' byte-identity proxy.
-fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1_0000_01b3);
-    }
-    h
-}
-
 /// Fixed-size (`Copy`) outcome of one packet, for batch processing where
 /// per-packet heap results would defeat the zero-allocation engine. The
 /// variable-length fields of [`PacketReport`] are represented by FNV-1a
@@ -489,16 +533,7 @@ pub struct CosSession {
     seq: u64,
     resilience: Option<ResilienceState>,
     adaptation: Option<AdaptationState>,
-    /// Per-session zero-copy PHY scratch: the tx frame and waveform, the
-    /// rx landing zone, and the decoder workspace. Every packet reuses
-    /// these buffers; every stage fully overwrites what it writes.
-    ws: PhyWorkspace,
-    /// Reference-frame reconstruction scratch for the EVM feedback loop
-    /// (kept separate from `ws.tx`, which still holds the sent frame).
-    ref_tx: TxWorkspace,
-    /// Energy-detection scratch.
-    det: Detection,
-    /// Adaptive-threshold scratch.
+    /// Adaptive-threshold scratch (one entry per selected subcarrier).
     thresholds: Vec<f64>,
     /// The per-packet (possibly expanded) working copy of `selected`.
     sel_scratch: Vec<usize>,
@@ -539,9 +574,6 @@ impl CosSession {
             seq: 0,
             resilience,
             adaptation,
-            ws: PhyWorkspace::new(),
-            ref_tx: TxWorkspace::new(),
-            det: Detection::default(),
             thresholds: Vec::new(),
             sel_scratch: Vec::new(),
             xs: SessionScratch::default(),
@@ -551,10 +583,11 @@ impl CosSession {
     }
 
     /// Resets the session to the state [`CosSession::new`]`(config, seed)`
-    /// would produce, while keeping every scratch buffer's capacity — the
-    /// pool-recycling entry point. A recycled session is behaviourally
-    /// indistinguishable from a fresh one because every `*_into` stage
-    /// fully overwrites its outputs (see `docs/ARCHITECTURE.md`).
+    /// would produce, while keeping its small per-packet buffers'
+    /// capacity — the pool-recycling entry point. A recycled session is
+    /// behaviourally indistinguishable from a fresh one because every
+    /// `*_into` stage fully overwrites its outputs (see
+    /// `docs/ARCHITECTURE.md`).
     pub fn reinit(&mut self, config: SessionConfig, seed: u64) {
         let codec = IntervalCodec::new(config.bits_per_interval);
         self.link = Link::new(config.channel, config.snr_db, seed);
@@ -606,6 +639,11 @@ impl CosSession {
     /// Attaches a fault-injection engine to the link.
     pub fn set_faults(&mut self, engine: FaultEngine) {
         self.link.set_faults(Some(engine));
+    }
+
+    /// Detaches the link's fault-injection engine, if any.
+    pub fn clear_faults(&mut self) {
+        self.link.set_faults(None);
     }
 
     /// The detection bias currently in force (recalibration may have
@@ -752,37 +790,36 @@ impl CosSession {
     /// (optionally), propagate, detect, decode, validate, and compute the
     /// feedback report. Does **not** apply feedback to the sender state.
     ///
-    /// Implemented as prepare → Viterbi → finish so the batch engine can
-    /// interleave the Viterbi stage across sessions; this monolithic form
-    /// and the staged form are bit-identical by construction (one
-    /// implementation of each half).
-    fn transceive(&mut self, payload: &[u8], control_bits: &[u8], embed_control: bool) -> Transceived {
-        let prep = self.transceive_prepare(payload, control_bits, embed_control);
-        self.transceive_viterbi(&prep);
-        self.transceive_finish(control_bits, prep)
-    }
-
-    /// The front half of [`transceive`](Self::transceive): build, embed,
-    /// propagate, front end, detect, and stage the DATA-field decode up
-    /// to (but not including) the Viterbi run. Composed from the tx /
-    /// air / rx thirds so the monolithic and engine-batched forms share
-    /// one implementation of every stage — bit-identical by construction.
-    fn transceive_prepare(
+    /// Composed from the tx / air / rx / Viterbi / finish stages, the
+    /// same functions the batch engine interleaves across sessions, so
+    /// this monolithic form and the staged form are bit-identical by
+    /// construction (one implementation of every stage).
+    fn transceive(
         &mut self,
+        fs: &mut FrameScratch,
         payload: &[u8],
         control_bits: &[u8],
         embed_control: bool,
-    ) -> PlainPrep {
-        let tok = self.transceive_prepare_tx(payload, control_bits, embed_control);
-        self.air();
-        self.transceive_prepare_rx(tok)
+    ) -> Transceived {
+        let tok = self.transceive_prepare_tx(fs, payload, control_bits, embed_control);
+        let prep = self.air_rx_viterbi(fs, tok);
+        self.transceive_finish(fs, control_bits, prep)
     }
 
-    /// The tx third of [`transceive_prepare`](Self::transceive_prepare):
-    /// build the frame, embed the control silences, and render the
-    /// waveform into `ws.tx.samples`, ready for the air stage.
-    fn transceive_prepare_tx(
+    /// The stages between a standalone send's tx stage and its finish:
+    /// air, rx and the per-frame Viterbi.
+    fn air_rx_viterbi(&mut self, fs: &mut FrameScratch, tok: TxPrep) -> PlainPrep {
+        self.air(fs);
+        let prep = self.transceive_prepare_rx(fs, tok);
+        fs.run_viterbi(&prep);
+        prep
+    }
+
+    /// The tx stage: build the frame, embed the control silences, and
+    /// render the waveform into the scratch, ready for the air stage.
+    pub(crate) fn transceive_prepare_tx(
         &mut self,
+        fs: &mut FrameScratch,
         payload: &[u8],
         control_bits: &[u8],
         embed_control: bool,
@@ -790,7 +827,7 @@ impl CosSession {
         self.seq += 1;
         let scrambler_seed = (self.seq % 127 + 1) as u8;
         let rate = self.rate;
-        self.phy_tx.build_frame_into(payload, rate, scrambler_seed, &mut self.ws.tx);
+        self.phy_tx.build_frame_into(payload, rate, scrambler_seed, &mut fs.ws.tx);
 
         // Embed; if the message outgrows the current selection (short
         // frame or long message), expand the control-subcarrier set for
@@ -804,7 +841,7 @@ impl CosSession {
         if embed_control {
             loop {
                 match self.controller.embed_into(
-                    &mut self.ws.tx.frame,
+                    &mut fs.ws.tx.frame,
                     &self.sel_scratch,
                     control_bits,
                     &mut self.xs.truth,
@@ -828,17 +865,16 @@ impl CosSession {
             }
         }
         let silences_sent = self.xs.truth.len();
-        self.ws.tx.render();
+        fs.ws.tx.render();
         TxPrep { silences_sent, rate, embed_control }
     }
 
-    /// The air third: land the channel output of the rendered waveform
+    /// The air stage: land the channel output of the rendered waveform
     /// straight in the receive workspace — the per-frame twin of the
     /// engine's batched [`Link::transmit_batch_into`] round.
-    pub(crate) fn air(&mut self) {
-        let CosSession { link, ws, .. } = self;
-        let PhyWorkspace { tx, rx } = ws;
-        link.transmit_into(&tx.samples, &mut rx.samples);
+    pub(crate) fn air(&mut self, fs: &mut FrameScratch) {
+        let PhyWorkspace { tx, rx } = &mut fs.ws;
+        self.link.transmit_into(&tx.samples, &mut rx.samples);
     }
 
     /// The rate the next frame will render at, predicted from the state
@@ -874,30 +910,31 @@ impl CosSession {
     /// one lockstep batch. Only valid between
     /// [`transceive_prepare_tx`](Self::transceive_prepare_tx) and
     /// [`transceive_prepare_rx`](Self::transceive_prepare_rx).
-    pub(crate) fn air_parts(&mut self) -> (&mut Link, &[Complex], &mut Vec<Complex>) {
-        let CosSession { link, ws, .. } = self;
-        let PhyWorkspace { tx, rx } = ws;
-        (link, &tx.samples, &mut rx.samples)
+    pub(crate) fn air_parts<'a>(&'a mut self, fs: &'a mut FrameScratch) -> BatchFrame<'a> {
+        let PhyWorkspace { tx, rx } = &mut fs.ws;
+        (&mut self.link, &tx.samples, &mut rx.samples)
     }
 
-    /// The rx third of [`transceive_prepare`](Self::transceive_prepare):
-    /// front end, energy detection, and the demap/FEC staging of the
-    /// erasure decode — all into session-owned scratch. The Viterbi
-    /// itself belongs to the next stage.
-    fn transceive_prepare_rx(&mut self, tok: TxPrep) -> PlainPrep {
+    /// The rx stage: front end, energy detection, and the demap/FEC
+    /// staging of the erasure decode, all into the frame scratch. The
+    /// Viterbi itself belongs to the next stage
+    /// ([`FrameScratch::run_viterbi`] or a lockstep run over
+    /// [`FrameScratch::lane_frame`]).
+    pub(crate) fn transceive_prepare_rx(
+        &mut self,
+        fs: &mut FrameScratch,
+        tok: TxPrep,
+    ) -> PlainPrep {
         let TxPrep { silences_sent, rate, embed_control } = tok;
-        let stage = match self.phy_rx.front_end_into(&self.ws.rx.samples, &mut self.ws.rx.fe) {
+        let FrameScratch { ws, det, .. } = fs;
+        let stage = match self.phy_rx.front_end_into(&ws.rx.samples, &mut ws.rx.fe) {
             Ok(()) => {
-                // Split-borrow the session so the detector, PHY workspace
-                // and per-packet scratch can be used side by side without
-                // intermediate allocations.
-                let CosSession { detector, phy_rx, ws, det, thresholds, sel_scratch, .. } =
-                    &mut *self;
                 if embed_control {
-                    detector.detect_into(&ws.rx.fe, sel_scratch, thresholds, det);
+                    let (sel, thresholds) = (&self.sel_scratch, &mut self.thresholds);
+                    self.detector.detect_into(&ws.rx.fe, sel, thresholds, det);
                 }
                 let erasures = embed_control.then_some(det.erasures.as_slice());
-                PlainStage::Staged(phy_rx.decode_prepare_into(
+                PlainStage::Staged(self.phy_rx.decode_prepare_into(
                     &ws.rx.fe,
                     erasures,
                     &mut ws.rx.scratch,
@@ -909,35 +946,21 @@ impl CosSession {
         PlainPrep { silences_sent, rate, embed_control, stage }
     }
 
-    /// The Viterbi stage of [`transceive`](Self::transceive), per-frame
-    /// form: decodes the staged trellis (if any) into this session's
-    /// scratch.
-    fn transceive_viterbi(&mut self, prep: &PlainPrep) {
-        if let Some(p) = prep.staged_ok() {
-            run_staged_viterbi(p, &mut self.ws.rx.scratch.fec);
-        }
-    }
-
-    /// The Viterbi stage in lockstep form: borrows this session's staged
-    /// trellis as one lane frame for
-    /// [`cos_fec::ViterbiDecoder::decode_lockstep`]. Running the lane
-    /// frame leaves exactly the state
-    /// [`transceive_viterbi`](Self::transceive_viterbi) would.
-    pub(crate) fn staged_viterbi_frame(&mut self, prep: PreparedDataField) -> LaneFrame<'_> {
-        staged_lane_frame(prep, &mut self.ws.rx.scratch.fec)
-    }
-
     /// The back half of [`transceive`](Self::transceive): descramble/CRC
     /// finish, control-bit extraction, silence validation, EVM feedback,
     /// channel advance and metrics. Requires the Viterbi stage to have
     /// run when `prep` staged cleanly.
-    fn transceive_finish(&mut self, control_bits: &[u8], prep: PlainPrep) -> Transceived {
+    fn transceive_finish(
+        &mut self,
+        fs: &mut FrameScratch,
+        control_bits: &[u8],
+        prep: PlainPrep,
+    ) -> Transceived {
         let PlainPrep { silences_sent, rate, embed_control, stage } = prep;
         let result = match stage {
             PlainStage::Staged(staged) => {
-                let CosSession {
-                    phy_rx, controller, config, ws, ref_tx, det, sel_scratch, xs, ..
-                } = &mut *self;
+                let CosSession { phy_rx, controller, config, sel_scratch, xs, .. } = &mut *self;
+                let FrameScratch { ws, ref_tx, det } = fs;
                 let codec = *controller.codec();
                 let total = ws.rx.fe.raw_symbols.len() * sel_scratch.len();
                 // Decoded control bits are bounded by one interval per
@@ -1107,7 +1130,7 @@ impl CosSession {
     /// Panics if `control_bits` length is not a multiple of the codec's
     /// `k` or the message exceeds the frame capacity.
     pub fn send_packet(&mut self, payload: &[u8], control_bits: &[u8]) -> PacketReport {
-        let t = self.transceive(payload, control_bits, true);
+        let t = with_frame(|fs| self.transceive(fs, payload, control_bits, true));
         self.finish_plain(&t);
         PacketReport {
             data_ok: t.data_ok,
@@ -1131,41 +1154,22 @@ impl CosSession {
     /// Panics if `control_bits` length is not a multiple of the codec's
     /// `k` or the message exceeds the frame capacity.
     pub fn send_packet_summary(&mut self, payload: &[u8], control_bits: &[u8]) -> PacketSummary {
-        let t = self.transceive(payload, control_bits, true);
+        let t = with_frame(|fs| self.transceive(fs, payload, control_bits, true));
         self.finish_plain(&t);
         self.summarize(&t)
     }
 
-    /// The tx third of [`send_packet_summary`](Self::send_packet_summary),
-    /// for the engine's batched-air rounds: build/embed/render, leaving
-    /// the waveform in [`air_parts`](Self::air_parts). Must be paired
-    /// with an air stage, [`plain_prepare_rx`](Self::plain_prepare_rx), a
-    /// Viterbi stage ([`plain_run_viterbi`](Self::plain_run_viterbi) or a
-    /// lockstep run over
-    /// [`staged_viterbi_frame`](Self::staged_viterbi_frame)) and then
-    /// [`plain_finish`](Self::plain_finish).
-    pub(crate) fn plain_prepare_tx(&mut self, payload: &[u8], control_bits: &[u8]) -> TxPrep {
-        self.transceive_prepare_tx(payload, control_bits, true)
-    }
-
-    /// The rx third matching [`plain_prepare_tx`](Self::plain_prepare_tx),
-    /// after the air stage ran (batched or per-frame).
-    pub(crate) fn plain_prepare_rx(&mut self, tok: TxPrep) -> PlainPrep {
-        self.transceive_prepare_rx(tok)
-    }
-
-    /// Per-frame Viterbi stage matching
-    /// [`plain_prepare_rx`](Self::plain_prepare_rx) — the remainder path
-    /// when a full lane group isn't available.
-    pub(crate) fn plain_run_viterbi(&mut self, prep: &PlainPrep) {
-        self.transceive_viterbi(prep);
-    }
-
-    /// The finish stage of [`send_packet_summary`](Self::send_packet_summary):
-    /// identical sender-state evolution and summary as the monolithic
-    /// call.
-    pub(crate) fn plain_finish(&mut self, control_bits: &[u8], prep: PlainPrep) -> PacketSummary {
-        let t = self.transceive_finish(control_bits, prep);
+    /// The finish stage of a plain engine job: descramble/CRC finish,
+    /// then the same sender-state evolution and summary as
+    /// [`send_packet_summary`](Self::send_packet_summary). Requires the
+    /// tx, air, rx and Viterbi stages to have run on `fs`.
+    pub(crate) fn plain_finish(
+        &mut self,
+        fs: &mut FrameScratch,
+        control_bits: &[u8],
+        prep: PlainPrep,
+    ) -> PacketSummary {
+        let t = self.transceive_finish(fs, control_bits, prep);
         self.finish_plain(&t);
         self.summarize(&t)
     }
@@ -1227,18 +1231,22 @@ impl CosSession {
     /// monolithic form and the engine's batched form share one
     /// implementation of every stage.
     fn send_resilient_core(&mut self, payload: &[u8]) -> ResilientCore {
-        let meta = self.resilient_prepare_tx(payload);
-        self.air();
-        let prep = self.transceive_prepare_rx(meta.tx);
-        self.transceive_viterbi(&prep);
-        self.resilient_finish(meta, prep)
+        with_frame(|fs| {
+            let meta = self.resilient_prepare_tx(fs, payload);
+            let prep = self.air_rx_viterbi(fs, meta.tx);
+            self.resilient_finish(fs, meta, prep)
+        })
     }
 
     /// The tx half of the resilient path: mode decides whether the
     /// control channel is exercised, the ARQ head (or the empty marker as
     /// a channel probe) supplies the bits — stored in the state's `msg`
     /// for the finish half — and the frame is built and rendered.
-    pub(crate) fn resilient_prepare_tx(&mut self, payload: &[u8]) -> ResilientTx {
+    pub(crate) fn resilient_prepare_tx(
+        &mut self,
+        fs: &mut FrameScratch,
+        payload: &[u8],
+    ) -> ResilientTx {
         self.ensure_resilience();
         let mut state = self.resilience.take().expect("just ensured");
 
@@ -1255,7 +1263,7 @@ impl CosSession {
             LinkMode::DataOnly => (false, false),
         };
 
-        let tx = self.transceive_prepare_tx(payload, &state.msg, attempted);
+        let tx = self.transceive_prepare_tx(fs, payload, &state.msg, attempted);
         self.resilience = Some(state);
         ResilientTx { tx, mode, attempted, from_queue }
     }
@@ -1265,11 +1273,16 @@ impl CosSession {
     /// fault-gated feedback application, recalibration and mode
     /// bookkeeping. Requires the rx-prepare and Viterbi stages to have
     /// run.
-    pub(crate) fn resilient_finish(&mut self, meta: ResilientTx, prep: PlainPrep) -> ResilientCore {
+    pub(crate) fn resilient_finish(
+        &mut self,
+        fs: &mut FrameScratch,
+        meta: ResilientTx,
+        prep: PlainPrep,
+    ) -> ResilientCore {
         let ResilientTx { tx: _, mode, attempted, from_queue } = meta;
         let mut state = self.resilience.take().expect("prepared by resilient_prepare_tx");
 
-        let t = self.transceive_finish(&state.msg, prep);
+        let t = self.transceive_finish(fs, &state.msg, prep);
         let fate = self.link.feedback_fate();
 
         if let Some(e) = &t.phy_error {
@@ -1437,17 +1450,21 @@ impl CosSession {
     /// outcome back into the controller. Composed from the tx / air / rx
     /// / Viterbi / finish stages like the resilient core.
     fn send_adaptive_core(&mut self, payload: &[u8]) -> AdaptiveCore {
-        let meta = self.adaptive_prepare_tx(payload);
-        self.air();
-        let prep = self.transceive_prepare_rx(meta.tx);
-        self.transceive_viterbi(&prep);
-        self.adaptive_finish(meta, prep)
+        with_frame(|fs| {
+            let meta = self.adaptive_prepare_tx(fs, payload);
+            let prep = self.air_rx_viterbi(fs, meta.tx);
+            self.adaptive_finish(fs, meta, prep)
+        })
     }
 
     /// The tx half of the adaptive path: the staircase picks the rate,
     /// the probe search sizes the budget, the probe message is composed
     /// into the state's `msg`, and the frame is built and rendered.
-    pub(crate) fn adaptive_prepare_tx(&mut self, payload: &[u8]) -> AdaptiveTx {
+    pub(crate) fn adaptive_prepare_tx(
+        &mut self,
+        fs: &mut FrameScratch,
+        payload: &[u8],
+    ) -> AdaptiveTx {
         self.ensure_adaptation();
         let mut state = self.adaptation.take().expect("just ensured");
 
@@ -1490,7 +1507,7 @@ impl CosSession {
             state.msg.push(((x >> 32) & 1) as u8);
         }
 
-        let tx = self.transceive_prepare_tx(payload, &state.msg, true);
+        let tx = self.transceive_prepare_tx(fs, payload, &state.msg, true);
         self.adaptation = Some(state);
         AdaptiveTx { tx, target, from_queue }
     }
@@ -1499,11 +1516,16 @@ impl CosSession {
     /// [`transceive_finish`](Self::transceive_finish), then the feedback
     /// gate, probe confirmation and controller observation. Requires the
     /// rx-prepare and Viterbi stages to have run.
-    pub(crate) fn adaptive_finish(&mut self, meta: AdaptiveTx, prep: PlainPrep) -> AdaptiveCore {
+    pub(crate) fn adaptive_finish(
+        &mut self,
+        fs: &mut FrameScratch,
+        meta: AdaptiveTx,
+        prep: PlainPrep,
+    ) -> AdaptiveCore {
         let AdaptiveTx { tx: _, target, from_queue } = meta;
         let mut state = self.adaptation.take().expect("prepared by adaptive_prepare_tx");
 
-        let t = self.transceive_finish(&state.msg, prep);
+        let t = self.transceive_finish(fs, &state.msg, prep);
         let fate = self.link.feedback_fate();
 
         // Adaptation trusts only fresh feedback: stale, corrupt or
@@ -1883,6 +1905,89 @@ mod tests {
         }
         let m = s.metrics();
         assert!(m.arq_retries >= 1, "blackout forced no retries: {m:?}");
+    }
+
+    /// The send path of one frame in [`frame_on`].
+    #[derive(Debug, Clone, Copy)]
+    enum Path {
+        Plain,
+        Resilient,
+        Adaptive,
+    }
+
+    /// Runs one frame of `path` on `fs` through the stage functions the
+    /// engine drives, keeping the ARQ queues fed.
+    fn frame_on(
+        s: &mut CosSession,
+        fs: &mut FrameScratch,
+        path: Path,
+        payload: &[u8],
+        msg: &[u8],
+    ) -> crate::engine::JobResult {
+        use crate::engine::JobResult;
+        match path {
+            Path::Plain => {
+                let tok = s.transceive_prepare_tx(fs, payload, msg, true);
+                let prep = s.air_rx_viterbi(fs, tok);
+                JobResult::Plain(s.plain_finish(fs, msg, prep))
+            }
+            Path::Resilient => {
+                if s.arq_backlog() == 0 {
+                    s.queue_control(msg.to_vec());
+                }
+                let meta = s.resilient_prepare_tx(fs, payload);
+                let prep = s.air_rx_viterbi(fs, meta.tx);
+                let core = s.resilient_finish(fs, meta, prep);
+                JobResult::Resilient(s.resilient_summarize(&core))
+            }
+            Path::Adaptive => {
+                if s.adaptive_backlog() == 0 {
+                    s.queue_adaptive_control(msg.to_vec());
+                }
+                let meta = s.adaptive_prepare_tx(fs, payload);
+                let prep = s.air_rx_viterbi(fs, meta.tx);
+                let core = s.adaptive_finish(fs, meta, prep);
+                JobResult::Adaptive(s.adaptive_summarize(&core))
+            }
+        }
+    }
+
+    #[test]
+    fn scratch_dirtied_by_another_session_changes_nothing() {
+        // Two sessions that differ in rate, payload length, path order
+        // and faults share one FrameScratch, interleaved frame by frame,
+        // so each frame starts on scratch the *other* session dirtied.
+        // Every outcome and the final sender state must equal twins run
+        // on fresh scratch for every frame.
+        let cfg_a =
+            SessionConfig { snr_db: 21.0, rate: Some(DataRate::Mbps6), ..Default::default() };
+        let cfg_b = SessionConfig { snr_db: 17.0, ..Default::default() };
+        let build = || {
+            let a = CosSession::new(cfg_a.clone(), 71);
+            let mut b = CosSession::new(cfg_b.clone(), 72);
+            b.set_faults(FaultEngine::new().with(BurstInterference::new(25.0, 300, 0.3, 5)));
+            (a, b)
+        };
+        let (mut a, mut b) = build();
+        let (mut a_ref, mut b_ref) = build();
+        let (pa, pb) = ([0x5Au8; 1020], [0xC3u8; 96]);
+        let paths = [Path::Plain, Path::Resilient, Path::Adaptive];
+        let mut shared = FrameScratch::default();
+        for i in 0..12 {
+            let (path_a, path_b) = (paths[i % 3], paths[(i + 1) % 3]);
+            let (msg_a, msg_b) = (bits(16), bits(8));
+            let got_a = frame_on(&mut a, &mut shared, path_a, &pa, &msg_a);
+            let got_b = frame_on(&mut b, &mut shared, path_b, &pb, &msg_b);
+            let want_a = frame_on(&mut a_ref, &mut FrameScratch::default(), path_a, &pa, &msg_a);
+            let want_b = frame_on(&mut b_ref, &mut FrameScratch::default(), path_b, &pb, &msg_b);
+            assert_eq!(format!("{got_a:?}"), format!("{want_a:?}"), "session A frame {i}");
+            assert_eq!(format!("{got_b:?}"), format!("{want_b:?}"), "session B frame {i}");
+        }
+        for (s, r) in [(&a, &a_ref), (&b, &b_ref)] {
+            assert_eq!(s.selected_subcarriers(), r.selected_subcarriers());
+            assert_eq!(s.current_rate(), r.current_rate());
+            assert_eq!(s.metrics(), r.metrics());
+        }
     }
 
     #[test]

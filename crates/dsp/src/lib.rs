@@ -16,7 +16,9 @@
 //! * [`prbs`] — the 127-bit `x^7 + x^4 + 1` pseudo-random binary sequence of
 //!   IEEE 802.11a (scrambler sequence and pilot-polarity sequence),
 //! * [`stats`] — summary statistics and empirical CDFs used by the
-//!   experiment harness.
+//!   experiment harness,
+//! * [`fnv1a`] — the byte-stream digest that outcome summaries and the
+//!   golden vectors use as a byte-identity proxy.
 //!
 //! # Examples
 //!
@@ -48,3 +50,16 @@ pub use lanes::{kernel_mode, set_kernel_mode, KernelMode};
 pub use db::{db_to_linear, dbm_to_mw, linear_to_db, mw_to_dbm};
 pub use prbs::Prbs127;
 pub use rng::GaussianSource;
+
+/// 64-bit FNV-1a over a byte stream — the repository's byte-identity
+/// proxy (outcome summaries, golden-vector bit digests).
+///
+/// ```
+/// assert_eq!(cos_dsp::fnv1a([]), 0xcbf2_9ce4_8422_2325);
+/// assert_ne!(cos_dsp::fnv1a([1, 2]), cos_dsp::fnv1a([2, 1]));
+/// ```
+pub fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes
+        .into_iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ b as u64).wrapping_mul(0x1_0000_01b3))
+}

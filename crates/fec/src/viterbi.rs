@@ -19,19 +19,21 @@
 //!
 //! # Kernels
 //!
-//! The add-compare-select recursion has three implementations that emit
+//! The add-compare-select recursion has two implementations that emit
 //! the same bits (see `docs/KERNELS.md` for the ordering contract):
 //!
-//! * a scalar reference ([`KernelMode::Scalar`]),
-//! * a lane kernel processing [`LANES`] states per op
-//!   ([`KernelMode::Lanes`], the default), and
-//! * a lockstep batch kernel ([`ViterbiDecoder::decode_lockstep`])
-//!   processing the same trellis step of [`LANES`] *frames* per op, with
-//!   per-frame fallback for remainder frames.
+//! * the per-frame scalar kernel, which every single-frame decode runs
+//!   under either [`KernelMode`], and
+//! * a lockstep batch kernel ([`ViterbiDecoder::decode_lockstep`],
+//!   [`KernelMode::Lanes`], the default) processing the same trellis step
+//!   of [`LANES`] *frames* per op, with per-frame fallback for remainder
+//!   frames.
 //!
 //! Every owned or workspace entry point funnels into the single
-//! [`ViterbiDecoder::decode_to_slices_with`] core, so there is exactly one
-//! implementation per kernel and no owned/scalar drift.
+//! [`ViterbiDecoder::decode_to_slices`] core, so there is exactly one
+//! per-frame implementation and no owned/scalar drift. (A per-frame lane
+//! kernel, 8 states per op, measured slower than the scalar one and was
+//! removed.)
 //!
 //! # Hard decisions
 //!
@@ -83,8 +85,7 @@ pub struct LaneFrame<'a> {
 
 /// Butterfly ACS lookup, built once per process: per source state, the
 /// ±1 signs (`+1` ⇔ coded 0) of the two coded bits emitted for input 0,
-/// as parallel arrays (scalar order plus lane-gathered even/odd groups)
-/// so every ACS kernel is pure vectorisable arithmetic.
+/// as parallel arrays so the scalar ACS is pure arithmetic.
 ///
 /// Two structural facts of the 133/171 trellis make this one table enough
 /// for the whole add-compare-select step:
@@ -99,15 +100,6 @@ struct SignTables {
     sa: [f64; STATES],
     /// Sign of coded bit B for input 0, per source state.
     sb: [f64; STATES],
-    /// `sa` gathered over even sources `2j` for destination lanes
-    /// `j = LANES·g .. LANES·(g+1)`.
-    sa_even: [F64xL; STATES / 2 / LANES],
-    /// `sb` gathered over even sources.
-    sb_even: [F64xL; STATES / 2 / LANES],
-    /// `sa` gathered over odd sources `2j + 1`.
-    sa_odd: [F64xL; STATES / 2 / LANES],
-    /// `sb` gathered over odd sources.
-    sb_odd: [F64xL; STATES / 2 / LANES],
 }
 
 /// Per source state, the palette index of its input-0 branch metric
@@ -150,23 +142,7 @@ fn sign_tables() -> &'static SignTables {
             debug_assert_eq!(next_state(src as u8, 0) as usize, src >> 1);
             debug_assert_eq!(next_state(src as u8, 1) as usize, (src >> 1) | 32);
         }
-        let gather = |table: &[f64; STATES], offset: usize| {
-            let mut out = [F64xL::splat(0.0); STATES / 2 / LANES];
-            for (g, lane) in out.iter_mut().enumerate() {
-                for l in 0..LANES {
-                    lane.0[l] = table[2 * (LANES * g + l) + offset];
-                }
-            }
-            out
-        };
-        SignTables {
-            sa_even: gather(&sa, 0),
-            sb_even: gather(&sb, 0),
-            sa_odd: gather(&sa, 1),
-            sb_odd: gather(&sb, 1),
-            sa,
-            sb,
-        }
+        SignTables { sa, sb }
     })
 }
 
@@ -258,8 +234,9 @@ impl ViterbiDecoder {
     }
 
     /// [`ViterbiDecoder::decode`] writing into caller-owned slices — the
-    /// allocation-free core for fixed-size fields like SIGNAL. Runs on
-    /// the process-wide [`kernel_mode`].
+    /// allocation-free core for fixed-size fields like SIGNAL, and the
+    /// single per-frame ACS core every other entry point funnels into.
+    /// Runs the scalar kernel under either [`KernelMode`].
     ///
     /// `prev_lsbs` is the traceback scratch and `out` receives the
     /// decoded bits; both must hold exactly `llrs.len() / 2` elements
@@ -276,30 +253,8 @@ impl ViterbiDecoder {
         prev_lsbs: &mut [u64],
         out: &mut [u8],
     ) {
-        self.decode_to_slices_with(llrs, terminated, kernel_mode(), prev_lsbs, out);
-    }
-
-    /// [`ViterbiDecoder::decode_to_slices`] with an explicit
-    /// [`KernelMode`] — the single ACS core every other entry point
-    /// funnels into. Scalar and lane kernels are bit-identical; the
-    /// explicit mode exists for differential tests and benchmarks.
-    ///
-    /// # Panics
-    ///
-    /// As [`ViterbiDecoder::decode_to_slices`].
-    pub fn decode_to_slices_with(
-        &self,
-        llrs: &[f64],
-        terminated: bool,
-        mode: KernelMode,
-        prev_lsbs: &mut [u64],
-        out: &mut [u8],
-    ) {
         validate(llrs, prev_lsbs, out);
-        let metric = match mode {
-            KernelMode::Scalar => acs_scalar(llrs, prev_lsbs),
-            KernelMode::Lanes => acs_lanes(llrs, prev_lsbs),
-        };
+        let metric = acs_scalar(llrs, prev_lsbs);
         traceback(prev_lsbs, start_state(&metric, terminated), out);
     }
 
@@ -307,7 +262,8 @@ impl ViterbiDecoder {
     /// [`kernel_mode`]: groups of [`LANES`] equal-length frames advance
     /// through the trellis together, [`LANES`] frames' add-compare-select
     /// per op; remainder frames (batch not a multiple of [`LANES`], or
-    /// unequal lengths) fall back to the per-frame kernel transparently.
+    /// unequal lengths) fall back to the per-frame scalar kernel
+    /// transparently.
     ///
     /// `batch` is the reusable SoA staging and survivor-mask scratch; at
     /// steady state the call performs no allocations. The slice is
@@ -331,8 +287,8 @@ impl ViterbiDecoder {
     }
 
     /// [`ViterbiDecoder::decode_lockstep`] with an explicit
-    /// [`KernelMode`]. In scalar mode every frame runs the scalar
-    /// reference kernel — bit-identical, just not batched.
+    /// [`KernelMode`]. In scalar mode every frame runs the per-frame
+    /// scalar kernel — bit-identical, just not batched.
     ///
     /// # Panics
     ///
@@ -349,7 +305,7 @@ impl ViterbiDecoder {
         }
         if mode == KernelMode::Scalar {
             for f in frames.iter_mut() {
-                self.decode_to_slices_with(f.llrs, terminated, mode, f.prev_lsbs, f.out);
+                self.decode_to_slices(f.llrs, terminated, f.prev_lsbs, f.out);
             }
             return;
         }
@@ -370,7 +326,7 @@ impl ViterbiDecoder {
                 acs_lockstep(group, terminated, batch);
             }
             for f in chunks.into_remainder() {
-                self.decode_to_slices_with(f.llrs, terminated, mode, f.prev_lsbs, f.out);
+                self.decode_to_slices(f.llrs, terminated, f.prev_lsbs, f.out);
             }
             i = j;
         }
@@ -464,65 +420,6 @@ fn acs_scalar(llrs: &[f64], prev_lsbs: &mut [u64]) -> [f64; STATES] {
     metric
 }
 
-/// The lane ACS: [`LANES`] destination states per op. Each lane evaluates
-/// the scalar kernel's expressions for one state in the same order
-/// (`s·la + s·lb`, add/sub, strict `>` select), so the output is
-/// bit-identical to [`acs_scalar`]. Returns the final metrics.
-fn acs_lanes(llrs: &[f64], prev_lsbs: &mut [u64]) -> [f64; STATES] {
-    let steps = llrs.len() / 2;
-    let tables = sign_tables();
-    // The whole metric array as STATES/LANES lane rows passed by value:
-    // with the group loop unrolled (constant trip count, constant
-    // indices) LLVM keeps every row in a vector register across trellis
-    // steps, so the recursion touches memory only for `llrs` reads and
-    // survivor-bitset writes.
-    let mut m = [F64xL::splat(NEG); STATES / LANES];
-    m[0].0[0] = 0.0; // encoder starts from the zero state
-    for t in 0..steps {
-        let (next, lsb_bits) = lanes_step(tables, llrs[2 * t], llrs[2 * t + 1], &m);
-        m = next;
-        prev_lsbs[t] = lsb_bits;
-    }
-    let mut metric = [0.0; STATES];
-    for (g, row) in m.iter().enumerate() {
-        metric[g * LANES..(g + 1) * LANES].copy_from_slice(&row.0);
-    }
-    metric
-}
-
-/// One trellis step of [`acs_lanes`]: advances the register-resident
-/// metric rows (row `g` holds states `LANES·g .. LANES·(g+1)`) and
-/// returns the new rows plus the survivor bitset.
-#[inline(always)]
-fn lanes_step(
-    tables: &SignTables,
-    la: f64,
-    lb: f64,
-    m: &[F64xL; STATES / LANES],
-) -> ([F64xL; STATES / LANES], u64) {
-    const GROUPS: usize = STATES / 2 / LANES;
-    let la = F64xL::splat(la);
-    let lb = F64xL::splat(lb);
-    let mut next = [F64xL::splat(0.0); STATES / LANES];
-    let mut lsb_bits = 0u64;
-    for g in 0..GROUPS {
-        // Destinations j = LANES·g .. LANES·(g+1) read sources 2j and
-        // 2j+1, i.e. the deinterleave of metric rows 2g and 2g+1.
-        let a = m[2 * g];
-        let b = m[2 * g + 1];
-        let (m0, m1) = F64xL::deinterleave(a, b);
-        let t0 = tables.sa_even[g] * la + tables.sb_even[g] * lb;
-        let t1 = tables.sa_odd[g] * la + tables.sb_odd[g] * lb;
-        let (lo, lo_mask) = F64xL::max_select(m0 + t0, m1 + t1);
-        next[g] = lo;
-        lsb_bits |= (lo_mask as u64) << (LANES * g);
-        let (hi, hi_mask) = F64xL::max_select(m0 - t0, m1 - t1);
-        next[g + GROUPS] = hi;
-        lsb_bits |= (hi_mask as u64) << (LANES * g + STATES / 2);
-    }
-    (next, lsb_bits)
-}
-
 /// The lockstep ACS: the same trellis step of [`LANES`] equal-length
 /// frames per op, metrics held state-major with one lane per frame (no
 /// gathers at all — `metric[2j]` is already a lane row). Stages the lane
@@ -565,8 +462,8 @@ fn acs_lockstep(group: &mut [LaneFrame<'_>], terminated: bool, batch: &mut Symbo
     let mut buf_a = [F64xL::splat(NEG); STATES];
     buf_a[0] = F64xL::splat(0.0);
     let mut buf_b = [F64xL::splat(NEG); STATES];
-    // The same straight-line ping-pong as [`acs_lanes`]: these buffers
-    // are LANES× bigger, so a by-value swap would copy 8 KiB per step.
+    // A straight-line ping-pong between two buffers: a by-value swap
+    // would copy 8 KiB per step.
     let mut t = 0;
     while t + 2 <= steps {
         lockstep_step(soa, masks, t, &buf_a, &mut buf_b);
@@ -796,20 +693,31 @@ mod tests {
     }
 
     #[test]
-    fn lane_kernel_is_bit_identical_to_scalar() {
+    fn lockstep_lane_group_is_bit_identical_to_scalar() {
         let dec = ViterbiDecoder::new();
+        let mut batch = SymbolBatch::new();
         for (len, seed) in [(24usize, 1u64), (100, 2), (333, 3), (1000, 4)] {
-            let data = frame(len, seed);
-            let coded = ConvEncoder::new().encode(&data);
+            let coded = ConvEncoder::new().encode(&frame(len, seed));
             for terminated in [true, false] {
-                for llrs in [ideal_llrs(&coded), noisy_llrs(&coded, seed ^ 0xABCD)] {
-                    let steps = llrs.len() / 2;
-                    let (mut ps, mut pl) = (vec![0u64; steps], vec![0u64; steps]);
-                    let (mut os, mut ol) = (vec![0u8; steps], vec![0u8; steps]);
-                    dec.decode_to_slices_with(&llrs, terminated, KernelMode::Scalar, &mut ps, &mut os);
-                    dec.decode_to_slices_with(&llrs, terminated, KernelMode::Lanes, &mut pl, &mut ol);
-                    assert_eq!(ps, pl, "survivor bitsets differ len={len} term={terminated}");
-                    assert_eq!(os, ol, "decoded bits differ len={len} term={terminated}");
+                // One full lane group of equal-length frames, each with
+                // its own noise, so every lane carries a different stream.
+                let llrs: Vec<Vec<f64>> =
+                    (0..LANES as u64).map(|k| noisy_llrs(&coded, seed ^ (k << 8))).collect();
+                let steps = llrs[0].len() / 2;
+                let mut prevs = vec![vec![0u64; steps]; LANES];
+                let mut outs = vec![vec![0u8; steps]; LANES];
+                let mut frames: Vec<LaneFrame<'_>> = llrs
+                    .iter()
+                    .zip(prevs.iter_mut().zip(outs.iter_mut()))
+                    .map(|(l, (p, o))| LaneFrame { llrs: l, prev_lsbs: p, out: o })
+                    .collect();
+                dec.decode_lockstep_with(&mut frames, terminated, KernelMode::Lanes, &mut batch);
+                drop(frames);
+                for (k, l) in llrs.iter().enumerate() {
+                    let mut p = vec![0u64; steps];
+                    let mut o = vec![0u8; steps];
+                    dec.decode_to_slices(l, terminated, &mut p, &mut o);
+                    assert_eq!(outs[k], o, "decoded bits differ len={len} term={terminated} lane={k}");
                 }
             }
         }
@@ -847,7 +755,7 @@ mod tests {
             for (k, (llrs, steps)) in frames_data.iter().enumerate() {
                 let mut p = vec![0u64; *steps];
                 let mut o = vec![0u8; *steps];
-                dec.decode_to_slices_with(llrs, true, KernelMode::Scalar, &mut p, &mut o);
+                dec.decode_to_slices(llrs, true, &mut p, &mut o);
                 assert_eq!(outs[k], o, "batch={batch_size} frame={k} bits");
             }
         }

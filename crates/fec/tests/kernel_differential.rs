@@ -1,11 +1,12 @@
-//! Kernel differential property tests: the scalar, lane and lockstep
-//! Viterbi ACS kernels must be **byte-equal** over arbitrary LLR streams
-//! (erasures included), frame lengths, termination flags and batch sizes,
-//! covering the remainder and odd-batch paths of the lockstep driver.
-//! The per-frame kernels are compared on decoded bits *and* survivor
-//! bitsets; lockstep batches on decoded bits (the lockstep kernel keeps
-//! its survivors lane-major in the `SymbolBatch`, not in `prev_lsbs`).
+//! Kernel differential property tests: the lockstep Viterbi ACS kernel
+//! must be **byte-equal** to the per-frame scalar kernel over arbitrary
+//! LLR streams (erasures included), frame lengths, termination flags and
+//! batch sizes, covering full lane groups as well as the remainder and
+//! odd-batch paths of the lockstep driver. Batches are compared on
+//! decoded bits (the lockstep kernel keeps its survivors lane-major in
+//! the `SymbolBatch`, not in `prev_lsbs`).
 
+use cos_dsp::lanes::LANES;
 use cos_dsp::KernelMode;
 use cos_fec::{LaneFrame, SymbolBatch, ViterbiDecoder};
 use proptest::prelude::*;
@@ -23,28 +24,55 @@ fn arb_llrs(pairs: usize) -> impl Strategy<Value = Vec<f64>> {
     })
 }
 
-/// Decodes with an explicit kernel, returning `(bits, survivor bitsets)`.
-fn decode_with(llrs: &[f64], terminated: bool, mode: KernelMode) -> (Vec<u8>, Vec<u64>) {
+/// Decodes one frame on the per-frame scalar kernel.
+fn decode_scalar(llrs: &[f64], terminated: bool) -> Vec<u8> {
     let steps = llrs.len() / 2;
     let mut prev = vec![0u64; steps];
     let mut out = vec![0u8; steps];
-    ViterbiDecoder::new().decode_to_slices_with(llrs, terminated, mode, &mut prev, &mut out);
-    (out, prev)
+    ViterbiDecoder::new().decode_to_slices(llrs, terminated, &mut prev, &mut out);
+    out
+}
+
+/// Decodes `frames_llrs` as one lockstep batch on `mode`.
+fn decode_batch(frames_llrs: &[Vec<f64>], terminated: bool, mode: KernelMode) -> Vec<Vec<u8>> {
+    let mut prevs: Vec<Vec<u64>> = frames_llrs
+        .iter()
+        .map(|l| vec![0u64; l.len() / 2])
+        .collect();
+    let mut outs: Vec<Vec<u8>> = frames_llrs.iter().map(|l| vec![0u8; l.len() / 2]).collect();
+    let mut lane_frames: Vec<LaneFrame<'_>> = frames_llrs
+        .iter()
+        .zip(prevs.iter_mut().zip(outs.iter_mut()))
+        .map(|(llrs, (prev, out))| LaneFrame {
+            llrs,
+            prev_lsbs: prev,
+            out,
+        })
+        .collect();
+    let mut batch = SymbolBatch::new();
+    ViterbiDecoder::new().decode_lockstep_with(&mut lane_frames, terminated, mode, &mut batch);
+    drop(lane_frames);
+    outs
 }
 
 proptest! {
     #[test]
-    fn lane_kernel_is_byte_equal_to_scalar(
+    fn lockstep_lane_group_is_byte_equal_to_scalar(
         steps in 1usize..180,
-        llrs in arb_llrs(180),
+        pool in arb_llrs(180),
         t in 0usize..2,
     ) {
-        let llrs = &llrs[..steps * 2];
+        // One full lane group of equal-length frames, so the lockstep
+        // kernel itself (not the per-frame fallback) decodes every lane;
+        // frame k reads the pool at offset 13·k, so lanes differ.
         let terminated = t == 1;
-        let (scalar_bits, scalar_prev) = decode_with(llrs, terminated, KernelMode::Scalar);
-        let (lane_bits, lane_prev) = decode_with(llrs, terminated, KernelMode::Lanes);
-        prop_assert_eq!(scalar_bits, lane_bits);
-        prop_assert_eq!(scalar_prev, lane_prev);
+        let frames_llrs: Vec<Vec<f64>> = (0..LANES)
+            .map(|k| (0..steps * 2).map(|i| pool[(i + 13 * k) % pool.len()]).collect())
+            .collect();
+        let got = decode_batch(&frames_llrs, terminated, KernelMode::Lanes);
+        for (k, llrs) in frames_llrs.iter().enumerate() {
+            prop_assert_eq!(&decode_scalar(llrs, terminated), &got[k], "lane {}", k);
+        }
     }
 
     #[test]
@@ -64,29 +92,9 @@ proptest! {
             })
             .collect();
 
-        let reference: Vec<(Vec<u8>, Vec<u64>)> = frames_llrs
-            .iter()
-            .map(|llrs| decode_with(llrs, terminated, KernelMode::Scalar))
-            .collect();
-
-        let mut prevs: Vec<Vec<u64>> = lens.iter().map(|&s| vec![0u64; s]).collect();
-        let mut outs: Vec<Vec<u8>> = lens.iter().map(|&s| vec![0u8; s]).collect();
-        let mut lane_frames: Vec<LaneFrame<'_>> = frames_llrs
-            .iter()
-            .zip(prevs.iter_mut().zip(outs.iter_mut()))
-            .map(|(llrs, (prev, out))| LaneFrame { llrs, prev_lsbs: prev, out })
-            .collect();
-        let mut batch = SymbolBatch::new();
-        ViterbiDecoder::new().decode_lockstep_with(
-            &mut lane_frames,
-            terminated,
-            KernelMode::Lanes,
-            &mut batch,
-        );
-        drop(lane_frames);
-
-        for (k, ((bits, _prev), got_bits)) in reference.iter().zip(outs.iter()).enumerate() {
-            prop_assert_eq!(bits, got_bits, "frame {}", k);
+        let got = decode_batch(&frames_llrs, terminated, KernelMode::Lanes);
+        for (k, llrs) in frames_llrs.iter().enumerate() {
+            prop_assert_eq!(&decode_scalar(llrs, terminated), &got[k], "frame {}", k);
         }
     }
 
@@ -104,19 +112,9 @@ proptest! {
                 (0..steps * 2).map(|i| pool[(i + 11 * k) % pool.len()]).collect()
             })
             .collect();
-        let run = |mode: KernelMode| -> Vec<Vec<u8>> {
-            let mut prevs: Vec<Vec<u64>> = lens.iter().map(|&s| vec![0u64; s]).collect();
-            let mut outs: Vec<Vec<u8>> = lens.iter().map(|&s| vec![0u8; s]).collect();
-            let mut lane_frames: Vec<LaneFrame<'_>> = frames_llrs
-                .iter()
-                .zip(prevs.iter_mut().zip(outs.iter_mut()))
-                .map(|(llrs, (prev, out))| LaneFrame { llrs, prev_lsbs: prev, out })
-                .collect();
-            let mut batch = SymbolBatch::new();
-            ViterbiDecoder::new().decode_lockstep_with(&mut lane_frames, true, mode, &mut batch);
-            drop(lane_frames);
-            outs
-        };
-        prop_assert_eq!(run(KernelMode::Scalar), run(KernelMode::Lanes));
+        prop_assert_eq!(
+            decode_batch(&frames_llrs, true, KernelMode::Scalar),
+            decode_batch(&frames_llrs, true, KernelMode::Lanes)
+        );
     }
 }

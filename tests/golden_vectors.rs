@@ -19,17 +19,10 @@
 //! Regenerate the corpus (and commit the diff) only when a waveform
 //! change is intended.
 
+use cos_dsp::fnv1a;
 use cos_phy::pipeline::{TxPipeline, TxWorkspace};
 use cos_phy::rates::DataRate;
 use cos_phy::rx::{Receiver, RxConfig};
-
-fn fnv(bytes: impl IntoIterator<Item = u8>) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in bytes {
-        h = (h ^ b as u64).wrapping_mul(0x1_0000_01b3);
-    }
-    h
-}
 
 struct Vector {
     rate: DataRate,
@@ -129,13 +122,13 @@ fn decoding_golden_samples_matches_golden_bits() {
         );
         assert_eq!(frame.scrambler_seed, Some(v.seed), "{:?}: scrambler seed drifted", v.rate);
         assert_eq!(
-            fnv(frame.data_bits.iter().copied()),
+            fnv1a(frame.data_bits.iter().copied()),
             v.data_bits_digest,
             "{:?}: data-bit digest drifted",
             v.rate
         );
         assert_eq!(
-            fnv(frame.hard_coded_bits.iter().copied()),
+            fnv1a(frame.hard_coded_bits.iter().copied()),
             v.hard_bits_digest,
             "{:?}: hard coded-bit digest drifted",
             v.rate
